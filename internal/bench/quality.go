@@ -144,39 +144,14 @@ func precisionAt(rels []float64, k int, threshold float64) float64 {
 // relaxation.
 func (r *Runner) E9Rewrite() error {
 	r.header("E9", "query rewriting: recovery of broken queries")
-	rng := r.rng(9)
-
-	type brokenQuery struct {
-		id, kindOfBreak string
-		kind            dataset.Kind
-		text            string
-	}
-	var broken []brokenQuery
-	for _, q := range Workload() {
-		if q.Ordered {
-			continue
-		}
-		parsed := mustParse(q.Text)
-		// Typo: drop one letter from a random non-root tag.
-		if mut, ok := typoMutation(parsed, rng); ok {
-			broken = append(broken, brokenQuery{q.ID, "typo", q.Kind, mut})
-		}
-		// Over-tight axis: force every edge to parent-child.
-		if mut, ok := axisMutation(parsed); ok {
-			broken = append(broken, brokenQuery{q.ID, "axis", q.Kind, mut})
-		}
-		// Over-tight value: contains -> eq (whole-value match required).
-		if mut, ok := valueMutation(parsed); ok {
-			broken = append(broken, brokenQuery{q.ID, "value", q.Kind, mut})
-		}
-	}
+	broken := BrokenQueries(r.cfg.Seed)
 
 	tw := r.table()
 	fmt.Fprintln(tw, "query\tbreak\texact answers\trecovered\trewrites tried\tfirst penalty\ttime ms")
 	recoveredCount, total := 0, 0
 	for _, b := range broken {
-		engine := r.engines[b.kind]
-		q, err := twig.Parse(b.text)
+		engine := r.engines[b.Kind]
+		q, err := twig.Parse(b.Text)
 		if err != nil {
 			continue // a mutation can produce an invalid query; skip it
 		}
@@ -203,7 +178,7 @@ func (r *Runner) E9Rewrite() error {
 			penalty = fmt.Sprintf("%.1f", res.Answers[0].Rewrite.Penalty)
 		}
 		fmt.Fprintf(tw, "%s\t%s\t0\t%v\t%d\t%s\t%s\n",
-			b.id, b.kindOfBreak, recovered, res.RewritesTried, penalty, ms(elapsed))
+			b.ID, b.Break, recovered, res.RewritesTried, penalty, ms(elapsed))
 	}
 	if err := tw.Flush(); err != nil {
 		return err
@@ -213,6 +188,41 @@ func (r *Runner) E9Rewrite() error {
 			recoveredCount, total, 100*float64(recoveredCount)/float64(total))
 	}
 	return nil
+}
+
+// BrokenQuery is one E9 input: a workload query deliberately broken so it
+// may return no answers, for the rewriter to recover.
+type BrokenQuery struct {
+	ID    string       // the workload query it was derived from
+	Break string       // "typo", "axis" or "value"
+	Kind  dataset.Kind // the dataset it runs on
+	Text  string       // the broken query text (may fail to parse)
+}
+
+// BrokenQueries derives E9's broken queries from the unordered workload
+// queries; seed is the runner seed, so the typo positions match E9's.
+func BrokenQueries(seed int64) []BrokenQuery {
+	rng := rand.New(rand.NewSource(seed + 9))
+	var broken []BrokenQuery
+	for _, q := range Workload() {
+		if q.Ordered {
+			continue
+		}
+		parsed := mustParse(q.Text)
+		// Typo: drop one letter from a random non-root tag.
+		if mut, ok := typoMutation(parsed, rng); ok {
+			broken = append(broken, BrokenQuery{q.ID, "typo", q.Kind, mut})
+		}
+		// Over-tight axis: force every edge to parent-child.
+		if mut, ok := axisMutation(parsed); ok {
+			broken = append(broken, BrokenQuery{q.ID, "axis", q.Kind, mut})
+		}
+		// Over-tight value: contains -> eq (whole-value match required).
+		if mut, ok := valueMutation(parsed); ok {
+			broken = append(broken, BrokenQuery{q.ID, "value", q.Kind, mut})
+		}
+	}
+	return broken
 }
 
 func typoMutation(q *twig.Query, rng *rand.Rand) (string, bool) {
