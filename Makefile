@@ -7,7 +7,7 @@ GO ?= go
 RACE_PKGS := ./internal/server/... ./internal/core/... ./internal/corpus/... ./internal/slo/... \
 	./internal/obs/... ./internal/metrics/... ./internal/cache/... \
 	./internal/join/... ./internal/index/... ./internal/ingest/... ./internal/remote/... \
-	./internal/httpmw/... ./cmd/lotusx-server/...
+	./internal/httpmw/... ./internal/trie/... ./cmd/lotusx-server/...
 
 .PHONY: check build vet test race api-check bench profile clean
 

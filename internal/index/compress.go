@@ -24,7 +24,6 @@ import (
 	"sort"
 
 	"lotusx/internal/doc"
-	"lotusx/internal/trie"
 )
 
 // compressMinRatio is the estimated raw/compressed substrate byte ratio
@@ -216,19 +215,7 @@ func buildCompressed(d *doc.Document, force bool) *Index {
 
 	// Value-derived structures.  Canonical subtrees are tokenized once per
 	// shape; every per-node fact they yield stands for occurrence-count
-	// instances.  trieAgg accumulates (weight, first-in-document-order
-	// node) per (tag, folded value) so the completion tries come out
-	// identical to a raw build: Insert sums weights but keeps the FIRST
-	// datum, which in a raw document-order build is the lowest NodeID.
-	type trieKey struct {
-		tag   doc.TagID
-		lower string
-	}
-	type trieVal struct {
-		weight int64
-		first  doc.NodeID
-	}
-	trieAgg := make(map[trieKey]*trieVal)
+	// instances.
 	valued := 0
 	var rawPostEntries, rawExactEntries int64
 
@@ -258,18 +245,6 @@ func buildCompressed(d *doc.Document, force bool) *Index {
 		}
 	}
 
-	addTrie := func(tag doc.TagID, v string, weight int64, first doc.NodeID) {
-		key := trieKey{tag, foldValue(v)}
-		tv := trieAgg[key]
-		if tv == nil {
-			trieAgg[key] = &trieVal{weight: weight, first: first}
-			return
-		}
-		tv.weight += weight
-		if first < tv.first {
-			tv.first = first
-		}
-	}
 	for gi := range c.groups {
 		g := &c.groups[gi]
 		r0 := g.roots[0]
@@ -281,11 +256,6 @@ func buildCompressed(d *doc.Document, force bool) *Index {
 			c.tagProgs[tag].parts = append(c.tagProgs[tag].parts, pt)
 			v := d.Value(id)
 			record(v, inst, func(p *prog) { p.parts = append(p.parts, pt) })
-			if v != "" {
-				// roots[0] is the group's earliest occurrence, so the first
-				// document-order instance of this node is r0+k itself.
-				addTrie(tag, v, inst, id)
-			}
 		}
 	}
 	for _, id := range residue {
@@ -293,9 +263,6 @@ func buildCompressed(d *doc.Document, force bool) *Index {
 		c.tagProgs[tag].residue = append(c.tagProgs[tag].residue, id)
 		v := d.Value(id)
 		record(v, 1, func(p *prog) { p.residue = append(p.residue, id) })
-		if v != "" {
-			addTrie(tag, v, 1, id)
-		}
 	}
 
 	// Cover table, sorted by root for the occurrence binary search.
@@ -332,28 +299,40 @@ func buildCompressed(d *doc.Document, force bool) *Index {
 		return nil
 	}
 
-	// Assemble the Index around the substrate; the completion tries and
-	// counters must come out identical to a raw build (completion results
-	// and ranking statistics may not depend on the substrate).
-	ix := &Index{
-		document:   d,
-		comp:       c,
-		tagTrie:    trie.New(),
-		valueTries: make(map[doc.TagID]*trie.Trie),
-		valued:     valued,
-	}
-	for key, tv := range trieAgg {
-		vt := ix.valueTries[key.tag]
-		if vt == nil {
-			vt = trie.New()
-			ix.valueTries[key.tag] = vt
-		}
-		vt.Insert(key.lower, tv.weight, int32(tv.first))
-	}
-	for id := doc.TagID(0); int(id) < d.Tags().Len(); id++ {
-		ix.tagTrie.Insert(d.Tags().Name(id), int64(c.tagCount(id)), int32(id))
-	}
+	// Assemble the Index around the substrate; the completion dictionaries
+	// and counters must come out identical to a raw build (completion
+	// results and ranking statistics may not depend on the substrate).
+	ix := &Index{document: d, comp: c, valued: valued}
+	ix.buildDicts()
 	return ix
+}
+
+// eachExact calls add for every instance class of every folded value — a
+// residue node standing for itself, or a shared node's canonical copy
+// standing for one instance per occurrence — in ascending NodeID order per
+// value.  Occurrence roots are sorted, so a canonical copy is its class's
+// earliest instance, and the order makes buildDicts keep each value's
+// first document-order node as datum, exactly as a raw build does.
+func (c *Compressed) eachExact(add func(v string, n doc.NodeID, weight int64)) {
+	type inst struct {
+		n      doc.NodeID
+		weight int64
+	}
+	var buf []inst
+	for v, p := range c.exacts {
+		buf = buf[:0]
+		for _, n := range p.residue {
+			buf = append(buf, inst{n, 1})
+		}
+		for _, pt := range p.parts {
+			g := &c.groups[pt.group]
+			buf = append(buf, inst{g.roots[0] + doc.NodeID(pt.offset), int64(len(g.roots))})
+		}
+		sort.Slice(buf, func(i, j int) bool { return buf[i].n < buf[j].n })
+		for _, in := range buf {
+			add(v, in.n, in.weight)
+		}
+	}
 }
 
 // progCount is the number of nodes a program expands to.

@@ -80,12 +80,10 @@ func (ix *Index) ExtDewey() (*xlabel.Transducer, *xlabel.Arena) {
 // Build constructs the index for d.
 func Build(d *doc.Document) *Index {
 	ix := &Index{
-		document:   d,
-		streams:    make([][]doc.NodeID, d.Tags().Len()),
-		postings:   make(map[string][]doc.NodeID),
-		exact:      make(map[string][]doc.NodeID),
-		tagTrie:    trie.New(),
-		valueTries: make(map[doc.TagID]*trie.Trie),
+		document: d,
+		streams:  make([][]doc.NodeID, d.Tags().Len()),
+		postings: make(map[string][]doc.NodeID),
+		exact:    make(map[string][]doc.NodeID),
 	}
 	for i := 0; i < d.Len(); i++ {
 		n := doc.NodeID(i)
@@ -108,18 +106,51 @@ func Build(d *doc.Document) *Index {
 			seen[tok] = struct{}{}
 			ix.postings[tok] = append(ix.postings[tok], n)
 		}
+	}
+	ix.buildDicts()
+	return ix
+}
 
+// buildDicts builds and freezes the completion dictionaries once the
+// substrate is in place: the tag dictionary weighted by tag counts, and per
+// tag a value dictionary over the folded values of that tag's nodes, each
+// weighted by its node count with the first node in document order as
+// datum.  The value words are the exact-value keys themselves, so a
+// distinct folded value is stored once however many dictionaries hold it.
+// Raw, persisted and compressed builds all come through here, so completion
+// never depends on the substrate.
+func (ix *Index) buildDicts() {
+	tags := ix.document.Tags()
+	ix.tagTrie = trie.New()
+	for id := doc.TagID(0); int(id) < tags.Len(); id++ {
+		ix.tagTrie.Insert(tags.Name(id), int64(ix.TagCount(id)), int32(id))
+	}
+	ix.tagTrie.Freeze()
+
+	ix.valueTries = make(map[doc.TagID]*trie.Trie)
+	// add must see each value's instances in ascending NodeID order, so the
+	// first insertion — the datum Insert keeps — is the earliest node.
+	add := func(v string, n doc.NodeID, weight int64) {
+		tag := ix.document.Tag(n)
 		vt := ix.valueTries[tag]
 		if vt == nil {
 			vt = trie.New()
 			ix.valueTries[tag] = vt
 		}
-		vt.Insert(lower, 1, int32(n))
+		vt.Insert(v, weight, int32(n))
 	}
-	for id := doc.TagID(0); int(id) < d.Tags().Len(); id++ {
-		ix.tagTrie.Insert(d.Tags().Name(id), int64(len(ix.streams[id])), int32(id))
+	if ix.comp != nil {
+		ix.comp.eachExact(add)
+	} else {
+		for v, nodes := range ix.exact {
+			for _, n := range nodes {
+				add(v, n, 1)
+			}
+		}
 	}
-	return ix
+	for _, vt := range ix.valueTries {
+		vt.Freeze()
+	}
 }
 
 // Document returns the indexed document.

@@ -10,7 +10,6 @@ import (
 	"io"
 
 	"lotusx/internal/doc"
-	"lotusx/internal/trie"
 )
 
 // Typed load failures.  Callers (the corpus manifest loader, the server's
@@ -262,17 +261,15 @@ func LoadFull(r io.Reader) (*Index, error) {
 }
 
 // rebuildFromParts reconstructs the cheap derived structures (streams, the
-// exact map, tries) from the document, reusing the persisted postings so no
-// value is re-tokenized.
+// exact map, dictionaries) from the document, reusing the persisted postings
+// so no value is re-tokenized.
 func rebuildFromParts(d *doc.Document, postings map[string][]doc.NodeID, valued int) *Index {
 	ix := &Index{
-		document:   d,
-		streams:    make([][]doc.NodeID, d.Tags().Len()),
-		postings:   postings,
-		exact:      make(map[string][]doc.NodeID),
-		tagTrie:    trie.New(),
-		valueTries: make(map[doc.TagID]*trie.Trie),
-		valued:     valued,
+		document: d,
+		streams:  make([][]doc.NodeID, d.Tags().Len()),
+		postings: postings,
+		exact:    make(map[string][]doc.NodeID),
+		valued:   valued,
 	}
 	for i := 0; i < d.Len(); i++ {
 		n := doc.NodeID(i)
@@ -284,15 +281,7 @@ func rebuildFromParts(d *doc.Document, postings map[string][]doc.NodeID, valued 
 		}
 		lower := foldValue(v)
 		ix.exact[lower] = append(ix.exact[lower], n)
-		vt := ix.valueTries[tag]
-		if vt == nil {
-			vt = trie.New()
-			ix.valueTries[tag] = vt
-		}
-		vt.Insert(lower, 1, int32(n))
 	}
-	for id := doc.TagID(0); int(id) < d.Tags().Len(); id++ {
-		ix.tagTrie.Insert(d.Tags().Name(id), int64(len(ix.streams[id])), int32(id))
-	}
+	ix.buildDicts()
 	return ix
 }

@@ -467,8 +467,10 @@ func (q *Queue) runJob(j *job) {
 		j.res = res
 	}
 	j.mu.Unlock()
-	close(j.done)
+	// Retire before signalling done: a waiter that resubmits the same key
+	// the moment Wait returns must not be coalesced into this finished job.
 	q.retire(j)
+	close(j.done)
 
 	if m != nil {
 		m.AddRunning(-1)

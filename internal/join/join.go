@@ -25,6 +25,7 @@ package join
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"lotusx/internal/doc"
@@ -298,23 +299,7 @@ func (ev *evaluator) buildStreamsMode(mode streamMode) bool {
 		if len(base) == 0 && mode != streamFull {
 			return false
 		}
-		keep, hint := ev.nodeFilter(qn)
-		if keep == nil {
-			ev.nodes[qn.ID] = base
-			continue
-		}
-		// The filtered stream is no larger than the base stream or the
-		// smallest predicate posting list; size it once instead of growing.
-		capHint := len(base)
-		if hint >= 0 && hint < capHint {
-			capHint = hint
-		}
-		filtered := make([]doc.NodeID, 0, capHint)
-		for _, n := range base {
-			if keep(n) {
-				filtered = append(filtered, n)
-			}
-		}
+		filtered := ev.filterStream(qn, base)
 		if len(filtered) == 0 && mode != streamFull {
 			return false
 		}
@@ -328,54 +313,50 @@ func (ev *evaluator) stream(qid int) *index.Stream {
 	return index.NewStream(ev.ix.Document(), ev.nodes[qid])
 }
 
-// nodeFilter returns the per-node predicate for qn, or nil when none
-// applies, plus a cardinality hint — the size of the smallest predicate
-// posting list, or -1 when no predicate bounds the survivor count.
-func (ev *evaluator) nodeFilter(qn *twig.Node) (func(doc.NodeID) bool, int) {
-	d := ev.ix.Document()
-	hint := -1
-	var preds []func(doc.NodeID) bool
-	if qn.Parent() == nil && qn.Axis == twig.Child {
-		// A rooted query (/tag): the match must be the document root.
-		preds = append(preds, func(n doc.NodeID) bool { return d.Parent(n) == doc.None })
-		hint = 1
-	}
-	addSet := func(nodes []doc.NodeID) {
-		if hint < 0 || len(nodes) < hint {
-			hint = len(nodes)
-		}
-		set := toSet(nodes)
-		preds = append(preds, func(n doc.NodeID) bool { _, ok := set[n]; return ok })
-	}
+// filterStream applies qn's pushed-down constraints to its base stream: a
+// value predicate keeps the nodes on the predicate's posting list, and a
+// rooted query root (/tag) must be the document root.  Streams and posting
+// lists are both in document (NodeID) order, so the predicate is a sorted
+// intersection.  base is shared index data; it is returned as is when no
+// constraint applies and never modified.
+func (ev *evaluator) filterStream(qn *twig.Node, base []doc.NodeID) []doc.NodeID {
+	out := base
 	switch qn.Pred.Op {
 	case twig.Eq:
-		addSet(ev.ix.ExactMatches(qn.Pred.Value))
+		out = intersectSorted(base, ev.ix.ExactMatches(qn.Pred.Value))
 	case twig.Contains:
-		addSet(ev.ix.ContainsAll(qn.Pred.Value))
+		out = intersectSorted(base, ev.ix.ContainsAll(qn.Pred.Value))
 	}
-	switch len(preds) {
-	case 0:
-		return nil, hint
-	case 1:
-		return preds[0], hint
-	default:
-		return func(n doc.NodeID) bool {
-			for _, p := range preds {
-				if !p(n) {
-					return false
-				}
+	if qn.Parent() == nil && qn.Axis == twig.Child {
+		d := ev.ix.Document()
+		var roots []doc.NodeID
+		for _, n := range out {
+			if d.Parent(n) == doc.None {
+				roots = append(roots, n)
 			}
-			return true
-		}, hint
+		}
+		out = roots
 	}
+	return out
 }
 
-func toSet(nodes []doc.NodeID) map[doc.NodeID]struct{} {
-	s := make(map[doc.NodeID]struct{}, len(nodes))
-	for _, n := range nodes {
-		s[n] = struct{}{}
+// intersectSorted returns a fresh list of the elements common to the sorted
+// lists a and b.  Each element of the shorter list is binary-searched in the
+// rest of the longer one, so a rare predicate value costs O(rare · log
+// stream) however long the stream.
+func intersectSorted(a, b []doc.NodeID) []doc.NodeID {
+	if len(a) > len(b) {
+		a, b = b, a
 	}
-	return s
+	out := make([]doc.NodeID, 0, len(a))
+	for _, x := range a {
+		i, found := slices.BinarySearch(b, x)
+		if found {
+			out = append(out, x)
+		}
+		b = b[i:]
+	}
+	return out
 }
 
 // edgeHolds checks the axis constraint of query node qc against candidate

@@ -62,11 +62,15 @@ func (ev *evaluator) expandPath(path []*twig.Node, stacks [][]stackEntry, leafId
 	rec(len(path)-1, leafIdx)
 }
 
-// pathSolutions stores the emitted root-to-leaf solutions of one path.
+// pathSolutions stores the emitted root-to-leaf solutions of one path,
+// flat: solution i is sols[i*len(path) : (i+1)*len(path)], root first.
 type pathSolutions struct {
 	path []*twig.Node
-	sols [][]doc.NodeID
+	sols []doc.NodeID
 }
+
+// count returns the number of solutions stored.
+func (ps *pathSolutions) count() int { return len(ps.sols) / len(ps.path) }
 
 // runPathStack evaluates the twig by running the PathStack algorithm once
 // per root-to-leaf path and merging the per-path solutions.  Each run prunes
@@ -74,15 +78,17 @@ type pathSolutions struct {
 // can emit solutions that no full twig match extends — the intermediate
 // blow-up experiment E3 quantifies against TwigStack.
 func (ev *evaluator) runPathStack() error {
-	var all []pathSolutions
-	for _, path := range rootPaths(ev.q) {
+	paths := rootPaths(ev.q)
+	sets := ev.scr.borrowSolSets(len(paths))
+	all := make([]pathSolutions, len(paths))
+	for i, path := range paths {
 		if ev.err != nil {
 			return ev.err
 		}
-		ps := pathSolutions{path: path}
-		ev.pathStackOne(path, &ps)
-		ev.stats.PathSolutions += len(ps.sols)
-		all = append(all, ps)
+		all[i] = pathSolutions{path: path, sols: sets[i]}
+		ev.pathStackOne(path, &all[i])
+		sets[i] = all[i].sols // hand the grown capacity back to the pool
+		ev.stats.PathSolutions += all[i].count()
 	}
 	ev.mergePathSolutions(all)
 	return nil
@@ -130,7 +136,7 @@ func (ev *evaluator) pathStackOne(path []*twig.Node, out *pathSolutions) {
 			ev.stats.ElementsPushed++
 			if qmin == leaf {
 				ev.expandPath(path, stacks, len(stacks[leaf])-1, func(sol []doc.NodeID) {
-					out.sols = append(out.sols, ev.copySol(sol))
+					out.sols = append(out.sols, sol...)
 				})
 				stacks[leaf] = stacks[leaf][:len(stacks[leaf])-1]
 			}
@@ -156,38 +162,34 @@ func (ev *evaluator) endOf(e stackEntry) int32 {
 // shared assembly, and root candidates are the intersection of every path's
 // root set (a root missing from any path heads no full match).
 func (ev *evaluator) mergePathSolutions(all []pathSolutions) {
-	edges := make([]edgeMap, ev.q.Len())
-	rootCount := make(map[doc.NodeID]int)
-	for _, ps := range all {
-		rootsSeen := make(map[doc.NodeID]struct{})
-		for _, sol := range ps.sols {
+	edges := ev.scr.borrowEdges(ev.q.Len())
+	roots := ev.scr.roots[:0]
+	for pi, ps := range all {
+		pathRoots := ev.scr.pathRoots[:0]
+		w := len(ps.path)
+		for s := 0; s < len(ps.sols); s += w {
 			if !ev.tick() {
 				return
 			}
-			rootsSeen[sol[0]] = struct{}{}
-			for i := 1; i < len(ps.path); i++ {
-				qc := ps.path[i]
-				if edges[qc.ID] == nil {
-					edges[qc.ID] = make(edgeMap)
-				}
-				edges[qc.ID].add(sol[i-1], sol[i])
+			sol := ps.sols[s : s+w]
+			pathRoots = append(pathRoots, sol[0])
+			for i := 1; i < w; i++ {
+				edges[ps.path[i].ID].add(sol[i-1], sol[i])
 			}
 		}
-		for r := range rootsSeen {
-			rootCount[r]++
+		pathRoots = sortUnique(pathRoots)
+		if pi == 0 {
+			roots = append(roots, pathRoots...)
+		} else {
+			roots = intersectInto(roots, pathRoots)
+		}
+		ev.scr.pathRoots = pathRoots
+	}
+	ev.scr.roots = roots
+	for i := range edges {
+		if len(edges[i].pairs) > 0 {
+			edges[i].freeze()
 		}
 	}
-	for _, em := range edges {
-		if em != nil {
-			em.dedup()
-		}
-	}
-	var roots []doc.NodeID
-	for r, c := range rootCount {
-		if c == len(all) {
-			roots = append(roots, r)
-		}
-	}
-	sortNodeIDs(roots)
 	ev.assemble(roots, edges)
 }

@@ -1,8 +1,6 @@
 package join
 
 import (
-	"sort"
-
 	"lotusx/internal/doc"
 	"lotusx/internal/twig"
 )
@@ -16,50 +14,32 @@ import (
 // isolation, so Stats.EdgePairs exposes the classical weakness that E2/E3
 // measure against holistic evaluation.
 func (ev *evaluator) runStructural() error {
-	n := ev.q.Len()
-	edges := make([]edgeMap, n)
+	edges := ev.scr.borrowEdges(ev.q.Len())
 
-	// Bottom-up: survivors[qid] is the set of document nodes of query node
-	// qid that head a full match of qid's sub-twig.
-	survivors := make([]map[doc.NodeID]struct{}, n)
+	// Bottom-up: survivors[qid] lists, in document order, the nodes of
+	// query node qid that head a full match of qid's sub-twig.  A leaf's
+	// survivors are its whole stream; an inner node survives iff it has a
+	// pair in every child edge.
+	survivors := make([][]doc.NodeID, ev.q.Len())
 	var reduce func(qn *twig.Node)
 	reduce = func(qn *twig.Node) {
 		if ev.err != nil {
 			return
 		}
-		for _, qc := range qn.Children {
-			reduce(qc)
-		}
-		surv := make(map[doc.NodeID]struct{})
 		if len(qn.Children) == 0 {
-			for _, dn := range ev.nodes[qn.ID] {
-				surv[dn] = struct{}{}
-			}
-			survivors[qn.ID] = surv
+			survivors[qn.ID] = ev.nodes[qn.ID]
 			return
 		}
-		// Join qn's stream against each child's surviving nodes.
-		perChild := make([]map[doc.NodeID]struct{}, len(qn.Children))
+		var surv []doc.NodeID
 		for i, qc := range qn.Children {
-			pairs := ev.structuralJoin(qn, qc, survivors[qc.ID])
-			edges[qc.ID] = pairs
-			parents := make(map[doc.NodeID]struct{}, len(pairs))
-			for p := range pairs {
-				parents[p] = struct{}{}
-			}
-			perChild[i] = parents
-		}
-		// qn survives iff it has a pair in every child edge.
-		for p := range perChild[0] {
-			ok := true
-			for _, pc := range perChild[1:] {
-				if _, in := pc[p]; !in {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				surv[p] = struct{}{}
+			reduce(qc)
+			e := &edges[qc.ID]
+			ev.structuralJoin(qn, qc, survivors[qc.ID], e)
+			ev.stats.EdgePairs += e.freeze()
+			if i == 0 {
+				surv = append(surv, e.parents...)
+			} else {
+				surv = intersectInto(surv, e.parents)
 			}
 		}
 		survivors[qn.ID] = surv
@@ -68,39 +48,22 @@ func (ev *evaluator) runStructural() error {
 	if ev.err != nil {
 		return ev.err
 	}
-
-	for _, em := range edges {
-		if em != nil {
-			ev.stats.EdgePairs += em.dedup()
-		}
-	}
-
-	roots := make([]doc.NodeID, 0, len(survivors[ev.q.Root.ID]))
-	for r := range survivors[ev.q.Root.ID] {
-		roots = append(roots, r)
-	}
-	sortNodeIDs(roots)
-	ev.assemble(roots, edges)
+	ev.assemble(survivors[ev.q.Root.ID], edges)
 	return nil
 }
 
-// structuralJoin runs a stack-based merge of qn's stream against the child
-// stream restricted to surviving nodes, producing all (ancestor, descendant)
-// pairs that satisfy the edge axis.  Both inputs are in document order; the
-// stack holds the current chain of nested ancestors.
-func (ev *evaluator) structuralJoin(qn, qc *twig.Node, childSurvivors map[doc.NodeID]struct{}) edgeMap {
+// structuralJoin runs a stack-based merge of qn's stream against the
+// surviving nodes of child qc, adding to out every (ancestor, descendant)
+// pair that satisfies the edge axis.  Both inputs are in document order;
+// the stack holds the current chain of nested ancestors.
+func (ev *evaluator) structuralJoin(qn, qc *twig.Node, childSurvivors []doc.NodeID, out *edgeIndex) {
 	d := ev.ix.Document()
-	out := make(edgeMap)
-
 	ancestors := ev.nodes[qn.ID]
 	stack := ev.scr.nodeStack[:0]
 	ai := 0
-	for _, c := range ev.nodes[qc.ID] {
+	for _, c := range childSurvivors {
 		if !ev.tick() {
 			break
-		}
-		if _, ok := childSurvivors[c]; !ok {
-			continue
 		}
 		creg := d.Region(c)
 		ev.stats.ElementsScanned++
@@ -133,9 +96,4 @@ func (ev *evaluator) structuralJoin(qn, qc *twig.Node, childSurvivors map[doc.No
 		}
 	}
 	ev.scr.nodeStack = stack // hand the grown capacity back for the next edge
-	return out
-}
-
-func sortNodeIDs(ns []doc.NodeID) {
-	sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
 }

@@ -13,12 +13,16 @@ type twigState struct {
 	ev      *evaluator
 	streams []*index.Stream // per query node ID
 	stacks  [][]stackEntry  // per query node ID
-	// pathOf[leafID] is the root-to-leaf query path ending at that leaf;
-	// indexed by query node ID (nil for non-leaves) to keep the per-push
-	// lookup off a map.
+	// paths lists the query's root-to-leaf paths; pathOf[leafID] is the
+	// one ending at that leaf, indexed by query node ID (nil for
+	// non-leaves) to keep the per-push lookup off a map.
+	paths  [][]*twig.Node
 	pathOf [][]*twig.Node
-	// sols[leafID] collects the leaf's emitted path solutions.
-	sols [][][]doc.NodeID
+	// sols[leafID] collects the leaf's emitted path solutions, flat (see
+	// pathSolutions).
+	sols [][]doc.NodeID
+	// leaves caches the query's leaves for the per-iteration end check.
+	leaves []*twig.Node
 }
 
 // runTwigStack evaluates the twig holistically (Bruno, Koudas, Srivastava,
@@ -34,15 +38,16 @@ func (ev *evaluator) runTwigStack() error {
 		ev:      ev,
 		streams: make([]*index.Stream, ev.q.Len()),
 		stacks:  ev.scr.borrowStacks(ev.q.Len()),
+		paths:   rootPaths(ev.q),
 		pathOf:  make([][]*twig.Node, ev.q.Len()),
-		sols:    make([][][]doc.NodeID, ev.q.Len()),
+		sols:    ev.scr.borrowSolSets(ev.q.Len()),
+		leaves:  ev.q.Leaves(),
 	}
 	for _, qn := range ev.q.Nodes() {
 		ts.streams[qn.ID] = ev.stream(qn.ID)
 	}
-	for _, path := range rootPaths(ev.q) {
-		leaf := path[len(path)-1]
-		ts.pathOf[leaf.ID] = path
+	for _, path := range ts.paths {
+		ts.pathOf[path[len(path)-1].ID] = path
 	}
 
 	for !ts.allLeavesDone() {
@@ -92,7 +97,7 @@ func (ts *twigState) expandLeaf(leaf *twig.Node, path []*twig.Node) {
 		stacks[i] = ts.stacks[qn.ID]
 	}
 	ts.ev.expandPath(path, stacks, len(stacks[len(path)-1])-1, func(sol []doc.NodeID) {
-		ts.sols[leaf.ID] = append(ts.sols[leaf.ID], ts.ev.copySol(sol))
+		ts.sols[leaf.ID] = append(ts.sols[leaf.ID], sol...)
 		ts.ev.stats.PathSolutions++
 	})
 }
@@ -110,7 +115,7 @@ func (ts *twigState) cleanStack(qid int, start int32) {
 // allLeavesDone reports whether every leaf stream is exhausted — the
 // paper's end(q) condition.
 func (ts *twigState) allLeavesDone() bool {
-	for _, leaf := range ts.ev.q.Leaves() {
+	for _, leaf := range ts.leaves {
 		if !ts.streams[leaf.ID].EOF() {
 			return false
 		}
@@ -175,10 +180,9 @@ func (ts *twigState) getNext(qn *twig.Node) *twig.Node {
 // merge assembles full twig matches from the per-leaf path solutions,
 // sharing mergePathSolutions with PathStack.
 func (ts *twigState) merge() {
-	var all []pathSolutions
-	for _, path := range rootPaths(ts.ev.q) {
-		leaf := path[len(path)-1]
-		all = append(all, pathSolutions{path: path, sols: ts.sols[leaf.ID]})
+	all := make([]pathSolutions, len(ts.paths))
+	for i, path := range ts.paths {
+		all[i] = pathSolutions{path: path, sols: ts.sols[path[len(path)-1].ID]}
 	}
 	ts.ev.mergePathSolutions(all)
 }

@@ -62,9 +62,11 @@ func (r *Ranker) RankContext(ctx context.Context, q *twig.Query, matches []join.
 // Rank scores all matches and returns the top k (all when k <= 0), best
 // first.
 func (r *Ranker) Rank(q *twig.Query, matches []join.Match, k int) []Scored {
+	// idf depends on the query alone: compute it once, not per match.
+	idf := r.idf(q)
 	out := make([]Scored, 0, len(matches))
 	for _, m := range matches {
-		out = append(out, r.Score(q, m))
+		out = append(out, r.score(q, m, idf))
 	}
 	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].Score != out[j].Score {
@@ -87,11 +89,16 @@ func (r *Ranker) Rank(q *twig.Query, matches []join.Match, k int) []Scored {
 
 // Score computes the full score breakdown of one match.
 func (r *Ranker) Score(q *twig.Query, m join.Match) Scored {
+	return r.score(q, m, r.idf(q))
+}
+
+// score is Score with the query-level idf component precomputed.
+func (r *Ranker) score(q *twig.Query, m join.Match, idf float64) Scored {
 	s := Scored{
 		Match:     m,
 		Content:   r.contentSim(q, m),
 		Tightness: r.tightness(q, m),
-		IDF:       r.idf(q),
+		IDF:       idf,
 	}
 	s.Score = (1 + s.Content) * s.Tightness * (1 + s.IDF)
 	return s

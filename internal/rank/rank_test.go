@@ -159,3 +159,20 @@ func TestScoreBreakdownComposition(t *testing.T) {
 		}
 	}
 }
+
+// TestRankMatchesScore: Rank hoists the query-level idf out of its per-match
+// loop; every score it returns must stay bit-equal to Score on that match.
+func TestRankMatchesScore(t *testing.T) {
+	ix, r := setup(t)
+	q, ms := runMatches(t, ix, `//book[.//title contains "xml"][author contains "common name"]`)
+	if len(ms) == 0 {
+		t.Fatal("no matches")
+	}
+	for _, s := range r.Rank(q, ms, 0) {
+		want := r.Score(q, s.Match)
+		if math.Float64bits(s.Score) != math.Float64bits(want.Score) ||
+			math.Float64bits(s.IDF) != math.Float64bits(want.IDF) {
+			t.Errorf("match %v: Rank score %v idf %v, Score %v idf %v", s.Match, s.Score, s.IDF, want.Score, want.IDF)
+		}
+	}
+}

@@ -113,8 +113,7 @@ func (e *Engine) Enumerate(q *twig.Query, maxPenalty float64, limit int) []Rewri
 	if limit <= 0 {
 		return nil
 	}
-	origin := q.String()
-	best := map[string]float64{origin: 0}
+	best := map[string]float64{q.String(): 0}
 	pq := &rewriteQueue{}
 	push := func(rw Rewrite) {
 		if rw.Penalty > maxPenalty {
@@ -125,33 +124,37 @@ func (e *Engine) Enumerate(q *twig.Query, maxPenalty float64, limit int) []Rewri
 			return
 		}
 		best[key] = rw.Penalty
-		heap.Push(pq, rw)
+		heap.Push(pq, queued{rw: rw, key: key})
 	}
-	for _, rw := range e.expand(Rewrite{Query: q}) {
+	// Substitution candidates depend only on a node's position and tag, and
+	// relaxed variants share most positions with their origin; the memo
+	// lives for this call only, so concurrent calls share nothing.
+	subs := make(map[string][]subCandidate)
+	for _, rw := range e.expand(Rewrite{Query: q}, subs) {
 		push(rw)
 	}
 	emitted := make(map[string]struct{})
 	var out []Rewrite
 	for pq.Len() > 0 && len(out) < limit {
-		rw := heap.Pop(pq).(Rewrite)
-		key := rw.Query.String()
-		if rw.Penalty > best[key] {
+		it := heap.Pop(pq).(queued)
+		if it.rw.Penalty > best[it.key] {
 			continue // superseded by a cheaper derivation
 		}
-		if _, dup := emitted[key]; dup {
+		if _, dup := emitted[it.key]; dup {
 			continue
 		}
-		emitted[key] = struct{}{}
-		out = append(out, rw)
-		for _, next := range e.expand(rw) {
+		emitted[it.key] = struct{}{}
+		out = append(out, it.rw)
+		for _, next := range e.expand(it.rw, subs) {
 			push(next)
 		}
 	}
 	return out
 }
 
-// expand produces all single-step relaxations of rw.
-func (e *Engine) expand(rw Rewrite) []Rewrite {
+// expand produces all single-step relaxations of rw; subs memoizes
+// substitution candidates by position (see substitutions).
+func (e *Engine) expand(rw Rewrite, subs map[string][]subCandidate) []Rewrite {
 	var out []Rewrite
 	q := rw.Query
 	for _, qn := range q.Nodes() {
@@ -172,7 +175,7 @@ func (e *Engine) expand(rw Rewrite) []Rewrite {
 				func(n *twig.Node) { n.Axis = twig.Descendant }))
 		}
 		if !qn.IsWildcard() {
-			out = append(out, e.substitutions(rw, qn)...)
+			out = append(out, e.substitutions(rw, qn, subs)...)
 			out = append(out, e.derive(rw, id, TagWildcard,
 				qn.Tag+" -> *",
 				func(n *twig.Node) { n.Tag = twig.Wildcard }))
@@ -202,15 +205,46 @@ func (e *Engine) derive(rw Rewrite, nodeID int, rule Rule, detail string, mutate
 }
 
 // substitutions proposes position-feasible replacement tags for qn, ranked
-// by name distance; the penalty grows with the distance.
-func (e *Engine) substitutions(rw Rewrite, qn *twig.Node) []Rewrite {
-	candidates := e.substituteTags(rw.Query, qn)
-	var out []Rewrite
+// by name distance; the penalty grows with the distance.  Candidates are
+// looked up in subs under qn's position key and computed on a miss.
+func (e *Engine) substitutions(rw Rewrite, qn *twig.Node, subs map[string][]subCandidate) []Rewrite {
+	key := positionKey(qn)
+	candidates, ok := subs[key]
+	if !ok {
+		candidates = e.substituteTags(rw.Query, qn)
+		subs[key] = candidates
+	}
+	out := make([]Rewrite, 0, len(candidates))
 	for _, c := range candidates {
-		tag := c.name
-		out = append(out, e.deriveSub(rw, qn.ID, tag, c.dist))
+		out = append(out, e.deriveSub(rw, qn.ID, c.name, c.dist))
 	}
 	return out
+}
+
+// positionKey renders exactly what substituteTags reads of qn: the axis and
+// tag of every node on its parent's root path, then qn's own axis and tag.
+// A root node has an empty parent path, which no non-root node has.
+func positionKey(qn *twig.Node) string {
+	var chain []*twig.Node
+	for cur := qn.Parent(); cur != nil; cur = cur.Parent() {
+		chain = append(chain, cur)
+	}
+	var b strings.Builder
+	for i := len(chain) - 1; i >= 0; i-- {
+		writeStep(&b, chain[i])
+	}
+	b.WriteByte(0)
+	writeStep(&b, qn)
+	return b.String()
+}
+
+func writeStep(b *strings.Builder, n *twig.Node) {
+	if n.Axis == twig.Child {
+		b.WriteByte('/')
+	} else {
+		b.WriteString("//")
+	}
+	b.WriteString(n.Tag)
 }
 
 func (e *Engine) deriveSub(rw Rewrite, nodeID int, tag string, dist int) Rewrite {
@@ -357,19 +391,27 @@ func editDistance(a, b string) int {
 	return prev[len(rb)]
 }
 
+// queued is one rewrite waiting in the search queue, with its rendered
+// query text computed once at push time: the dedup key and the heap's
+// tie-breaker.
+type queued struct {
+	rw  Rewrite
+	key string
+}
+
 // rewriteQueue is a min-heap on penalty with deterministic tie-breaking by
 // rendered query text.
-type rewriteQueue []Rewrite
+type rewriteQueue []queued
 
 func (q rewriteQueue) Len() int { return len(q) }
 func (q rewriteQueue) Less(i, j int) bool {
-	if q[i].Penalty != q[j].Penalty {
-		return q[i].Penalty < q[j].Penalty
+	if q[i].rw.Penalty != q[j].rw.Penalty {
+		return q[i].rw.Penalty < q[j].rw.Penalty
 	}
-	return q[i].Query.String() < q[j].Query.String()
+	return q[i].key < q[j].key
 }
 func (q rewriteQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *rewriteQueue) Push(x any)   { *q = append(*q, x.(Rewrite)) }
+func (q *rewriteQueue) Push(x any)   { *q = append(*q, x.(queued)) }
 func (q *rewriteQueue) Pop() any {
 	old := *q
 	n := len(old)

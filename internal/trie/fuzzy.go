@@ -1,6 +1,10 @@
 package trie
 
-import "sort"
+import (
+	"sort"
+	"strings"
+	"unicode/utf8"
+)
 
 // FuzzyComplete returns words whose prefix is within edit distance maxDist
 // of the query prefix, heaviest first, at most k.  It powers LotusX's
@@ -8,9 +12,11 @@ import "sort"
 // suggests "author".  Exact-prefix matches sort before fuzzy ones of equal
 // weight (distance is a secondary key).
 //
-// The search runs the classic trie × dynamic-programming-row algorithm: each
-// trie edge extends a Levenshtein row against the query; branches whose row
-// minimum exceeds maxDist are pruned.
+// The search runs the classic trie × dynamic-programming-row algorithm over
+// the virtual trie of the sorted words: a node is the range of words sharing
+// a prefix, its children are the sub-ranges split by the next rune, and each
+// edge extends a Levenshtein row against the query; branches whose row
+// minimum exceeds maxDist (and hold no settled hit) are pruned.
 func (t *Trie) FuzzyComplete(prefix string, maxDist, k int) []Entry {
 	if k <= 0 {
 		return nil
@@ -18,6 +24,7 @@ func (t *Trie) FuzzyComplete(prefix string, maxDist, k int) []Entry {
 	if maxDist <= 0 {
 		return t.Complete(prefix, k)
 	}
+	t.Freeze()
 	q := []rune(prefix)
 	row := make([]int, len(q)+1)
 	for i := range row {
@@ -35,36 +42,52 @@ func (t *Trie) FuzzyComplete(prefix string, maxDist, k int) []Entry {
 	// are nondecreasing as the path extends, once minOf(row) >= best the
 	// distance of every word below is settled at best and the subtree can be
 	// emitted wholesale; otherwise we keep descending to find improvements.
-	var walk func(n *node, soFar string, prev []int, best int)
-	walk = func(n *node, soFar string, prev []int, best int) {
+	// The node at byte depth off is the word range [lo, hi).
+	var walk func(off, lo, hi int, prev []int, best int)
+	walk = func(off, lo, hi int, prev []int, best int) {
 		if d := prev[len(q)]; d < best {
 			best = d
 		}
-		if best == 0 || minOf(prev) >= best {
+		m := minOf(prev)
+		if best == 0 || m >= best {
 			if best <= maxDist {
-				for _, e := range completeFrom(n, soFar, k) {
+				for _, e := range t.topK(lo, hi, k) {
 					hits = append(hits, hit{e, best})
 				}
 			}
 			return
 		}
-		if n.terminal && best <= maxDist {
-			hits = append(hits, hit{Entry{Word: soFar, Weight: n.weight, Datum: n.datum}, best})
+		if m > maxDist {
+			return // best > m > maxDist: nothing below can qualify
+		}
+		i := lo
+		if len(t.words[i]) == off {
+			// The node's own word sorts first in its range.
+			if best <= maxDist {
+				hits = append(hits, hit{t.entry(int32(i)), best})
+			}
+			i++
 		}
 		cur := make([]int, len(q)+1)
-		for r, c := range n.children {
+		for i < hi {
+			r, size := utf8.DecodeRuneInString(t.words[i][off:])
+			edge := t.words[i][off : off+size]
+			end := i + sort.Search(hi-i, func(j int) bool { return !strings.HasPrefix(t.words[i+j][off:], edge) })
 			cur[0] = prev[0] + 1
-			for i := 1; i <= len(q); i++ {
+			for j := 1; j <= len(q); j++ {
 				cost := 1
-				if q[i-1] == r {
+				if q[j-1] == r {
 					cost = 0
 				}
-				cur[i] = min(prev[i]+1, min(cur[i-1]+1, prev[i-1]+cost))
+				cur[j] = min(prev[j]+1, min(cur[j-1]+1, prev[j-1]+cost))
 			}
-			walk(c, soFar+string(r), cur, best)
+			walk(off+size, i, end, cur, best)
+			i = end
 		}
 	}
-	walk(t.root, "", row, len(q)+1)
+	if len(t.words) > 0 {
+		walk(0, 0, len(t.words), row, len(q)+1)
+	}
 
 	sort.SliceStable(hits, func(i, j int) bool {
 		if hits[i].dist != hits[j].dist {
@@ -83,12 +106,6 @@ func (t *Trie) FuzzyComplete(prefix string, maxDist, k int) []Entry {
 		out[i] = h.Entry
 	}
 	return out
-}
-
-// completeFrom lists up to k heaviest terminals under n, with soFar as the
-// accumulated prefix.
-func completeFrom(n *node, soFar string, k int) []Entry {
-	return completeNode(n, soFar, k)
 }
 
 func minOf(xs []int) int {
