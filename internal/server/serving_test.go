@@ -261,19 +261,27 @@ func TestLoadShed503(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 
-	// Occupy the single slot with the slow query.
+	// Occupy the single slot with the slow query.  A probe below can hold
+	// the slot at the instant the query arrives and get the query itself
+	// shed, so resubmit it until it is admitted.
+	deadline := time.Now().Add(2 * time.Second)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		res, err := http.Post(ts.URL+"/api/v1/query", "application/json", strings.NewReader(slowQueryBody))
-		if err == nil {
+		for time.Now().Before(deadline) {
+			res, err := http.Post(ts.URL+"/api/v1/query", "application/json", strings.NewReader(slowQueryBody))
+			if err != nil {
+				return
+			}
 			res.Body.Close()
+			if res.StatusCode != http.StatusServiceUnavailable {
+				return
+			}
 		}
 	}()
 
 	// Wait until the slow query is actually in flight, then expect sheds.
-	deadline := time.Now().Add(2 * time.Second)
 	var shedRes *http.Response
 	for time.Now().Before(deadline) {
 		res, err := http.Get(ts.URL + "/api/v1/stats")
